@@ -185,7 +185,9 @@ func newServingInputs(seed int64, r ldp.Randomizer, seconds float64, query bool)
 		return in, nil
 	}
 	in.frameKeys = newKeys(rng, "frame", prefillFrames)
-	in.deviceKeys = newKeys(rng, "device", int(seconds*deviceRate)+1)
+	// The device stream restarts its schedule every round.
+	perRound := int(servingRound.Seconds()*deviceRate) + 1
+	in.deviceKeys = newKeys(rng, "device", servingRounds(seconds)*perRound)
 	in.queries = newQuerySequence(rng, int(seconds*queriesPerSecLimit))
 	return in, nil
 }

@@ -24,12 +24,16 @@ type optJob struct {
 }
 
 // optTrace is what the WithProgress callback saw during one Optimize call.
+// With a clock, its times are in reference time and exclude the host-speed
+// measurements the callback makes between rounds; without one, they are raw.
 type optTrace struct {
-	start       time.Time
-	stamps      []time.Time // one per main-loop iteration
-	end         time.Time
-	allocsFirst uint64 // heap objects allocated, at the first callback
-	allocsLast  uint64 // and at the last
+	pilot       time.Duration // call → first callback
+	gaps        []float64     // ms between consecutive callbacks
+	work        time.Duration // the whole call
+	raw         time.Duration // the same in raw time
+	callbacks   int           // one per main-loop iteration
+	allocsFirst uint64        // heap objects allocated, at the first callback
+	allocsLast  uint64        // and at the last
 }
 
 const allocsMetric = "/gc/heap/allocs:objects"
@@ -40,47 +44,63 @@ func heapAllocs(s []metrics.Sample) uint64 {
 }
 
 // optimizeTraced runs ldp.Optimize with the paper's defaults and a fixed
-// seed, stamping every main-loop iteration. The stamps cost one clock read
-// and one runtime/metrics read per iteration.
-func optimizeTraced(ctx context.Context, w ldp.Workload, eps float64, seed int64) (*ldp.Optimized, optTrace, error) {
-	tr := optTrace{stamps: make([]time.Time, 0, 512)}
+// seed, timing every main-loop iteration. Each callback costs one clock read
+// and one runtime/metrics read. With a clock, the callback ends a round once
+// the clock's round has passed, and the call's end ends one too, so every
+// duration is scaled by its own round's factor and no calibration is
+// counted as work.
+func optimizeTraced(ctx context.Context, w ldp.Workload, eps float64, seed int64, clock *refClock) (*ldp.Optimized, optTrace, error) {
+	tr := optTrace{gaps: make([]float64, 0, 512)}
 	sample := []metrics.Sample{{Name: allocsMetric}}
-	tr.start = time.Now()
+	var pending []float64 // raw gaps of the current round, in ms
+	var pendingWork time.Duration
+	pilotScaled := false
+	flush := func(f float64) {
+		for _, g := range pending {
+			tr.gaps = append(tr.gaps, g*f)
+		}
+		tr.work += scale(pendingWork, f)
+		tr.raw += pendingWork
+		if tr.callbacks > 0 && !pilotScaled {
+			tr.pilot, pilotScaled = scale(tr.pilot, f), true
+		}
+		pending, pendingWork = pending[:0], 0
+	}
+	start := time.Now()
+	mark := start // end of the last stretch of work counted
 	res, err := ldp.Optimize(ctx, w, eps, ldp.WithSeed(seed), ldp.WithProgress(func(int, float64) {
-		tr.stamps = append(tr.stamps, time.Now())
+		now := time.Now()
+		if tr.callbacks == 0 {
+			tr.pilot = now.Sub(start)
+		} else {
+			pending = append(pending, ms(now.Sub(mark)))
+		}
+		pendingWork += now.Sub(mark)
+		tr.callbacks++
 		a := heapAllocs(sample)
-		if len(tr.stamps) == 1 {
+		if tr.callbacks == 1 {
 			tr.allocsFirst = a
 		}
 		tr.allocsLast = a
+		if clock != nil && clock.due() {
+			flush(clock.endRound())
+		}
+		mark = time.Now()
 	}))
-	tr.end = time.Now()
+	pendingWork += time.Since(mark)
+	f := 1.0
+	if clock != nil {
+		f = clock.endRound()
+	}
+	flush(f)
 	return res, tr, err
 }
 
-// pilot is the time from the call to the first iteration: the Gram matrix,
-// the workspace and the step-size pilot runs.
-func (tr optTrace) pilot() time.Duration {
-	if len(tr.stamps) == 0 {
-		return tr.end.Sub(tr.start)
-	}
-	return tr.stamps[0].Sub(tr.start)
-}
-
-// gaps returns the time between consecutive iterations, in ms.
-func (tr optTrace) gaps() []float64 {
-	var out []float64
-	for i := 1; i < len(tr.stamps); i++ {
-		out = append(out, ms(tr.stamps[i].Sub(tr.stamps[i-1])))
-	}
-	return out
-}
-
 func (tr optTrace) allocsPerIter() float64 {
-	if len(tr.stamps) < 2 {
+	if tr.callbacks < 2 {
 		return 0
 	}
-	return float64(tr.allocsLast-tr.allocsFirst) / float64(len(tr.stamps)-1)
+	return float64(tr.allocsLast-tr.allocsFirst) / float64(tr.callbacks-1)
 }
 
 // setupOptimize builds the two jobs' workloads and lower bounds — what the
@@ -107,10 +127,10 @@ type optResult struct {
 // runOptimizeJobs runs the jobs in order and checks each strategy: it must
 // pass Strategy.Validate, and its objective recomputed with
 // Strategy.Objective must equal the reported one.
-func runOptimizeJobs(ctx context.Context, jobs []optJob) ([]optResult, error) {
+func runOptimizeJobs(ctx context.Context, jobs []optJob, clock *refClock) ([]optResult, error) {
 	var out []optResult
 	for _, j := range jobs {
-		res, tr, err := optimizeTraced(ctx, j.w, servedEps, optimizeSeed)
+		res, tr, err := optimizeTraced(ctx, j.w, servedEps, optimizeSeed, clock)
 		if err != nil {
 			return nil, fmt.Errorf("optimize %s: %w", j.tag, err)
 		}
@@ -145,8 +165,8 @@ func checkStrategy(j optJob, res *ldp.Optimized, tr optTrace) error {
 	}
 	// Every accepted iteration reports progress; a step the blow-up
 	// safeguard rejected counts as an iteration but reports nothing.
-	if len(tr.stamps) == 0 || len(tr.stamps) > res.Iterations {
-		return fmt.Errorf("optimize %s: %d progress callbacks for %d iterations", j.tag, len(tr.stamps), res.Iterations)
+	if tr.callbacks == 0 || tr.callbacks > res.Iterations {
+		return fmt.Errorf("optimize %s: %d progress callbacks for %d iterations", j.tag, tr.callbacks, res.Iterations)
 	}
 	return nil
 }

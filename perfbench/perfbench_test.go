@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	ldp "repro"
 )
@@ -168,6 +169,77 @@ func TestSeededInputsCoverEveryQueryShape(t *testing.T) {
 			t.Fatalf("idempotency key %q generated twice", k)
 		}
 		keys[k] = true
+	}
+}
+
+func TestWindowQuantileIsMedianOfWindows(t *testing.T) {
+	// Six rounds of 1,000 samples, windows of two rounds: the middle window
+	// stalls. Its p99 is 50, the others' 1 and 2; the median is 2.
+	var samples []float64
+	var cuts []int
+	for r := 0; r < 6; r++ {
+		cuts = append(cuts, len(samples))
+		for i := 0; i < 1000; i++ {
+			v := float64(1 + r/4) // 1 in the first window, 2 in the last
+			if r/2 == 1 {
+				v = 50
+			}
+			samples = append(samples, v)
+		}
+	}
+	q, windows, err := windowQuantile(samples, cuts, 2, 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if windows != 3 || q.Value != 2 || q.Max != 50 || q.N != 6000 {
+		t.Fatalf("got %+v over %d windows; want value 2, max 50, 6000 samples, 3 windows", q, windows)
+	}
+	// A window too thin for its own p99 fails the run.
+	if _, _, err := windowQuantile(samples[:2500], []int{0, 1000, 2000, 2100}, 2, 0.99); err == nil {
+		t.Fatal("a window of 500 samples reported a p99")
+	}
+}
+
+func TestPhaseAddScalesToReferenceTime(t *testing.T) {
+	total := &phase{acked: make([]int64, ingestDistinct), deviceAcked: make([]int64, deviceDistinct)}
+	slow := &phase{wall: time.Second, reportLat: []float64{4}, queryLat: []float64{10}, late: []float64{3}, queries: 1, attempted: 2}
+	fast := &phase{wall: time.Second, reportLat: []float64{2}, queryLat: []float64{5}, late: []float64{1}, queries: 1, attempted: 2}
+	total.add(slow, 0.5) // a round at half the reference speed
+	total.add(fast, 1.0)
+	if total.wall != 2*time.Second || total.refWall != 1500*time.Millisecond {
+		t.Fatalf("wall %v, reference wall %v; want 2s and 1.5s", total.wall, total.refWall)
+	}
+	// The same work, timed at two host speeds, reads the same in reference time.
+	if total.reportLat[0] != total.reportLat[1] || total.queryLat[0] != total.queryLat[1] {
+		t.Fatalf("reference latencies %v / %v differ", total.reportLat, total.queryLat)
+	}
+	if total.late[0] != 3 || total.queries != 2 || total.attempted != 4 {
+		t.Fatalf("late %v, queries %d, attempted %d: counts and lateness must add unscaled", total.late, total.queries, total.attempted)
+	}
+}
+
+func TestRefClockFactorIsMeanOfBracketingIndexes(t *testing.T) {
+	m := newInlineMeter(optimizeRound)
+	c := newRefClock(m)
+	f := c.endRound()
+	if len(c.index) != 2 || f != (c.index[0]+c.index[1])/2 || !(f > 0) {
+		t.Fatalf("factor %v from indexes %v", f, c.index)
+	}
+	if c.due() {
+		t.Fatal("a round that just began is already due")
+	}
+}
+
+func TestDeviceKeysCoverEveryRound(t *testing.T) {
+	const seconds = 3
+	in, err := newServingInputs(1, rrRandomizer(t), seconds, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each round's stream sends at most one frame per period from its start.
+	perRound := int(servingRound.Seconds()*deviceRate) + 1
+	if want := servingRounds(seconds) * perRound; len(in.deviceKeys) < want {
+		t.Fatalf("%d device keys for %d rounds, need %d", len(in.deviceKeys), servingRounds(seconds), want)
 	}
 }
 

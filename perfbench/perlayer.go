@@ -51,6 +51,8 @@ var perLayer = []struct{ name, unit string }{
 	{"loadgen.late_p99_ms", "ms"},
 	{"trace.overhead_pct", "%"},
 	{"trace.path_ratio", "ratio"},
+	{"host.speed_index", "ratio"},
+	{"host.run_share", "ratio"},
 	{"error_rate", "ratio"},
 }
 
@@ -98,6 +100,7 @@ func analyze(spans []Span, shards int) spanStats {
 	lastChild := map[int]int{} // router.query span → its latest-ending child
 	perShard := map[string][][2]int64{}
 	var lo, hi int64 = 1 << 62, 0
+	var clientIvs [][2]int64
 	for _, s := range spans {
 		st.self[s.Name] = append(st.self[s.Name], float64(self[s.ID])/1e6)
 		st.dur[s.Name] = append(st.dur[s.Name], float64(s.dur())/1e6)
@@ -111,14 +114,17 @@ func analyze(spans []Span, shards int) spanStats {
 		}
 		if tier(s.Name) == tierOf["client"] {
 			lo, hi = min(lo, s.Start), max(hi, s.End)
+			clientIvs = append(clientIvs, [2]int64{s.Start, s.End})
 		}
 	}
 	for _, c := range lastChild {
 		st.crit = append(st.crit, float64(self[c])/1e6)
 	}
-	if hi > lo {
+	// The phase is the time some client request was open, which leaves
+	// out the host-speed measurements between rounds.
+	if open := covered(lo, hi, clientIvs); open > 0 {
 		for _, ivs := range perShard {
-			st.busy += float64(covered(lo, hi, ivs)) / float64(hi-lo) / float64(shards)
+			st.busy += float64(covered(lo, hi, ivs)) / float64(open) / float64(shards)
 		}
 	}
 	return st
@@ -176,15 +182,16 @@ func (env *servingEnv) layerReport(rep *report, o options, query bool, plain, tr
 	rep.layer("durable.checkpoints", delta(b, a, "ldp_checkpoint_seq"), "")
 
 	ops, opName := reports, "report"
-	primary := func(ph *phase) float64 { return float64(ph.ackedReports()) / ph.wall.Seconds() }
+	primary := func(ph *phase) float64 { return float64(ph.ackedReports()) / ph.refWall.Seconds() }
 	if query {
 		ops, opName = float64(traced.queries), "query"
-		primary = func(ph *phase) float64 { return float64(ph.queries) / ph.wall.Seconds() }
+		primary = func(ph *phase) float64 { return float64(ph.queries) / ph.refWall.Seconds() }
 	}
 	rep.layer("runtime.alloc_bytes_per_op", float64(lay.mem.allocBytes)/ops, "per "+opName)
 	rep.layer("runtime.gc_pause_ms", ms(lay.mem.gcPause), "total stop-the-world pause in the traced phase")
 	rep.layer("runtime.gc_cycles", float64(lay.mem.gcCycles), "")
-	rep.layer("trace.overhead_pct", 100*(primary(plain)/primary(traced)-1), "untraced ÷ traced throughput − 1")
+	rep.layer("trace.overhead_pct", 100*(primary(plain)/primary(traced)-1), "untraced ÷ traced throughput − 1, in reference time")
+	setHost(rep, traced.index, traced.run)
 	if err := setLoadgen(rep, traced); err != nil {
 		return err
 	}
@@ -245,11 +252,17 @@ func setLoadgen(rep *report, ph *phase) error {
 	return nil
 }
 
+// setHost reports the host's state over the traced phase (hostspeed.go).
+func setHost(rep *report, index, run []float64) {
+	rep.layer("host.speed_index", medianOf(index), fmt.Sprintf("median of %d measurements", len(index)))
+	rep.layer("host.run_share", medianOf(run), fmt.Sprintf("median of %d rounds", len(run)))
+}
+
 func setOptTrace(rep *report, tag string, trs []optTrace, iters []int, note string) {
 	var pilots, gaps []float64
 	for _, tr := range trs {
-		pilots = append(pilots, tr.pilot().Seconds())
-		gaps = append(gaps, tr.gaps()...)
+		pilots = append(pilots, tr.pilot.Seconds())
+		gaps = append(gaps, tr.gaps...)
 	}
 	rep.layer("opt.pilot_s."+tag, medianOf(pilots), note)
 	rep.layer("opt.iter_ms."+tag, medianOf(gaps), fmt.Sprintf("median of %d iteration gaps", len(gaps)))
@@ -268,18 +281,18 @@ func setKernels(rep *report) error {
 }
 
 // optimizeLayerReport fills the per-layer metrics of a traced optimize run.
-// The optimizer layers are medians over every repetition; the overhead
-// compares the fastest traced and untraced repetitions.
-func optimizeLayerReport(rep *report, traced []pairRun, twall, plainWall time.Duration, mem memDelta) error {
+// The optimizer layers are medians over every traced repetition, in
+// reference time; the overhead compares the traced and untraced reference
+// time per iteration.
+func optimizeLayerReport(rep *report, plain, traced []pairRun, mem memDelta, clock *refClock) error {
 	byTag := map[string][]optTrace{}
 	iters := map[string][]int{}
-	totalIters, allocs, allocIters := 0, 0.0, 0
+	allocs, allocIters := 0.0, 0
 	for _, p := range traced {
 		for _, r := range p.results {
 			byTag[r.job.tag] = append(byTag[r.job.tag], r.trace)
 			iters[r.job.tag] = append(iters[r.job.tag], r.res.Iterations)
-			totalIters += r.res.Iterations
-			if n := len(r.trace.stamps) - 1; n > 0 {
+			if n := r.trace.callbacks - 1; n > 0 {
 				allocs += r.trace.allocsPerIter() * float64(n)
 				allocIters += n
 			}
@@ -294,10 +307,14 @@ func optimizeLayerReport(rep *report, traced []pairRun, twall, plainWall time.Du
 	if err := setKernels(rep); err != nil {
 		return err
 	}
-	rep.layer("runtime.alloc_bytes_per_op", float64(mem.allocBytes)/float64(totalIters), "per optimizer iteration")
+	tIters, tWork := pairTotals(traced)
+	pIters, pWork := pairTotals(plain)
+	rep.layer("runtime.alloc_bytes_per_op", float64(mem.allocBytes)/float64(tIters), "per optimizer iteration")
 	rep.layer("runtime.gc_pause_ms", ms(mem.gcPause), "total stop-the-world pause in the traced phase")
 	rep.layer("runtime.gc_cycles", float64(mem.gcCycles), "")
-	rep.layer("trace.overhead_pct", 100*(twall.Seconds()/plainWall.Seconds()-1), "fastest traced ÷ fastest untraced repetition − 1")
+	perIter := func(work time.Duration, n int) float64 { return work.Seconds() / float64(n) }
+	rep.layer("trace.overhead_pct", 100*(perIter(tWork, tIters)/perIter(pWork, pIters)-1), "traced ÷ untraced time per iteration − 1, in reference time")
+	setHost(rep, clock.index, clock.run)
 	rep.layer("error_rate", 0, "")
 	fillPerLayer(rep)
 	return nil

@@ -44,13 +44,13 @@ type servingEnv struct {
 	prefilled  []int64      // acked pre-fill frames per distinct frame
 }
 
-// setupServing optimizes the served strategy, generates the inputs,
-// deploys the stack under dir and, when prefill is set, loads the
-// pre-fill through the router.
-func setupServing(ctx context.Context, dir string, seed int64, seconds float64, prefill bool, rec *recorder) (*servingEnv, error) {
+// setupServing optimizes the served strategy, generates inputs for
+// loadSeconds of timed rounds, deploys the stack under dir and, when
+// prefill is set, loads the pre-fill through the router.
+func setupServing(ctx context.Context, dir string, seed int64, loadSeconds float64, prefill bool, rec *recorder) (*servingEnv, error) {
 	env := &servingEnv{w: ldp.AllRange(servedN), rec: rec}
 	var err error
-	if env.served, env.optTrace, err = optimizeTraced(ctx, env.w, servedEps, servedSeed); err != nil {
+	if env.served, env.optTrace, err = optimizeTraced(ctx, env.w, servedEps, servedSeed, nil); err != nil {
 		return nil, fmt.Errorf("optimize served strategy: %w", err)
 	}
 	strat := env.served.Strategy()
@@ -61,7 +61,7 @@ func setupServing(ctx context.Context, dir string, seed int64, seconds float64, 
 	if err != nil {
 		return nil, err
 	}
-	if env.in, err = newServingInputs(seed, rnd, seconds, prefill); err != nil {
+	if env.in, err = newServingInputs(seed, rnd, loadSeconds, prefill); err != nil {
 		return nil, err
 	}
 	if env.st, err = deploy(ctx, env.agg, env.w, dir, rec); err != nil {
@@ -81,9 +81,14 @@ func setupServing(ctx context.Context, dir string, seed int64, seconds float64, 
 	return env, nil
 }
 
-// phase is what one timed phase of a serving workload observed.
+// phase is what one timed phase of a serving workload, or one round of
+// it, observed. A whole phase holds its latencies in reference time (see
+// hostspeed.go).
 type phase struct {
 	wall      time.Duration
+	refWall   time.Duration // wall in reference time
+	index     []float64     // host speed index at each round boundary
+	run       []float64     // each round's run share
 	attempted int64
 	failed    int64
 	err       error
@@ -91,9 +96,62 @@ type phase struct {
 	acked       []int64   // acked 256-report frames per distinct frame
 	deviceAcked []int64   // acked device frames per distinct frame
 	reportLat   []float64 // ms: send→ack (ingest), due→ack (device stream)
+	reportCuts  []int     // where each round's samples begin in reportLat
 	queryLat    []float64 // ms: send→last row decoded
 	late        []float64 // ms the open-loop stream sent after its due time
 	queries     int64
+}
+
+// add folds one round into the phase, scaling its durations by the
+// round's reference-time factor f.
+func (ph *phase) add(r *phase, f float64) {
+	ph.wall += r.wall
+	ph.refWall += scale(r.wall, f)
+	ph.attempted += r.attempted
+	ph.failed += r.failed
+	if ph.err == nil {
+		ph.err = r.err
+	}
+	for i, a := range r.acked {
+		ph.acked[i] += a
+	}
+	for i, a := range r.deviceAcked {
+		ph.deviceAcked[i] += a
+	}
+	ph.reportCuts = append(ph.reportCuts, len(ph.reportLat))
+	for _, x := range r.reportLat {
+		ph.reportLat = append(ph.reportLat, x*f)
+	}
+	for _, x := range r.queryLat {
+		ph.queryLat = append(ph.queryLat, x*f)
+	}
+	ph.late = append(ph.late, r.late...)
+	ph.queries += r.queries
+}
+
+// timedPhase runs the workload for servingRounds(seconds) rounds of
+// servingRound, measuring the host before the first and after every round,
+// and returns their sum in reference time. A round that fails outright (an
+// error with no failed operation behind it) ends the phase.
+func (env *servingEnv) timedPhase(ctx context.Context, c *client, m *hostMeter, seconds float64, query bool) *phase {
+	nproc := runtime.NumCPU()
+	total := &phase{acked: make([]int64, ingestDistinct), deviceAcked: make([]int64, deviceDistinct)}
+	clock := newRefClock(m)
+	for r := 0; r < servingRounds(seconds); r++ {
+		deadline := time.Now().Add(servingRound)
+		var ph *phase
+		if query {
+			ph = env.queryLoop(ctx, c, max(1, nproc-1), deadline)
+		} else {
+			ph = env.ingestLoop(ctx, c, nproc, deadline, 0)
+		}
+		total.add(ph, clock.endRound())
+		if ph.err != nil && ph.failed == 0 {
+			break
+		}
+	}
+	total.index, total.run = clock.index, clock.run
+	return total
 }
 
 func (ph *phase) ackedReports() int64 {
@@ -172,7 +230,6 @@ func (env *servingEnv) ingestLoop(ctx context.Context, c *client, senders int, d
 // deviceRate, both until deadline.
 func (env *servingEnv) queryLoop(ctx context.Context, c *client, analysts int, deadline time.Time) *phase {
 	ph := &phase{acked: make([]int64, ingestDistinct), deviceAcked: make([]int64, deviceDistinct)}
-	start := time.Now()
 	bodies, err := queryBodies(servedN)
 	if err != nil {
 		ph.err = err
@@ -187,6 +244,7 @@ func (env *servingEnv) queryLoop(ctx context.Context, c *client, analysts int, d
 		}
 		rows[i] = w.Queries()
 	}
+	start := time.Now()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	fail := func(err error) {

@@ -51,6 +51,32 @@ func tailQuantile(samples []float64) (Quantile, error) {
 	return quantile(samples, 0.90)
 }
 
+// windowQuantile is the median over consecutive windows of n rounds of each
+// window's q-quantile; cuts[i] is where round i's samples begin. Every window
+// must meet quantile's rule on its own. It also returns the window count; a
+// last window shorter than n rounds is left out.
+func windowQuantile(samples []float64, cuts []int, n int, q float64) (Quantile, int, error) {
+	var values []float64
+	out := Quantile{Q: q, N: len(samples)}
+	for i := 0; i+n <= len(cuts); i += n {
+		end := len(samples)
+		if i+n < len(cuts) {
+			end = cuts[i+n]
+		}
+		w, err := quantile(slices.Clone(samples[cuts[i]:end]), q)
+		if err != nil {
+			return Quantile{}, 0, fmt.Errorf("window %d: %w", i/n, err)
+		}
+		values = append(values, w.Value)
+		out.Max = max(out.Max, w.Max)
+	}
+	if len(values) == 0 {
+		return Quantile{}, 0, fmt.Errorf("p%g: fewer than %d rounds", 100*q, n)
+	}
+	out.Value = medianOf(values)
+	return out, len(values), nil
+}
+
 // median is the p50 of samples, which must hold at least 2·minBeyond values.
 func median(samples []float64) (Quantile, error) { return quantile(samples, 0.5) }
 

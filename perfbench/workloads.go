@@ -16,23 +16,28 @@ func runQuery(ctx context.Context, o options) (*report, error)  { return runServ
 
 // runServing sets the stack up servingSetups times, runs the timed phase
 // on the last deployment (twice with --trace 1: untraced, then traced),
-// checks the outputs and reports.
+// checks the outputs and reports. Every timing is in reference time.
 func runServing(ctx context.Context, o options, query bool) (*report, error) {
 	phases := 1
 	if o.trace {
 		phases = 2
 	}
+	meter := newCoreMeter(servingRound)
+	defer meter.close()
 	rec := newRecorder()
 	var env *servingEnv
 	var setups []float64
+	loadSeconds := float64(phases*servingRounds(o.seconds)) * servingRound.Seconds()
 	for i := 0; i < servingSetups; i++ {
 		dir := filepath.Join(o.dir, fmt.Sprintf("setup%d", i))
-		t0 := time.Now()
-		var err error
-		if env, err = setupServing(ctx, dir, o.seed, o.seconds*float64(phases), query, rec); err != nil {
+		d, err := timedRef(meter, func() (err error) {
+			env, err = setupServing(ctx, dir, o.seed, loadSeconds, query, rec)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
-		setups = append(setups, time.Since(t0).Seconds())
+		setups = append(setups, d.Seconds())
 		if i < servingSetups-1 {
 			if err := env.st.close(); err != nil {
 				return nil, err
@@ -48,16 +53,9 @@ func runServing(ctx context.Context, o options, query bool) (*report, error) {
 		return nil, err
 	}
 
-	nproc := runtime.NumCPU()
-	c := newClient(env.st.url, nproc, rec)
+	c := newClient(env.st.url, runtime.NumCPU(), rec)
 	defer c.close()
-	runPhase := func() *phase {
-		deadline := time.Now().Add(time.Duration(o.seconds * float64(time.Second)))
-		if query {
-			return env.queryLoop(ctx, c, max(1, nproc-1), deadline)
-		}
-		return env.ingestLoop(ctx, c, nproc, deadline, 0)
-	}
+	runPhase := func() *phase { return env.timedPhase(ctx, c, meter, o.seconds, query) }
 	plain := runPhase()
 	all := []*phase{plain}
 	var traced *phase
@@ -98,24 +96,42 @@ func runServing(ctx context.Context, o options, query bool) (*report, error) {
 
 	rep.setNote("setup_s", "s", medianOf(setups), fmt.Sprintf("median of %d set-ups", len(setups)))
 	rep.setNote("strategy_gap", "ratio", env.served.Objective/lower, "served AllRange n=64 strategy")
-	lat := plain.reportLat
+	ops, what := float64(plain.ackedReports()), "acked reports"
 	if query {
-		lat = plain.queryLat
-		rep.setNote("throughput_per_s", "1/s", float64(plain.queries)/plain.wall.Seconds(), "queries")
-	} else {
-		rep.setNote("throughput_per_s", "1/s", float64(plain.ackedReports())/plain.wall.Seconds(), "acked reports")
+		ops, what = float64(plain.queries), "queries"
 	}
-	return rep, setLatency(rep, lat)
+	rep.setNote("throughput_per_s", "1/s", ops/plain.refWall.Seconds(), fmt.Sprintf("%s; %.0f/s raw over %d rounds, median speed index %.3f, run share %.3f",
+		what, ops/plain.wall.Seconds(), len(plain.run), medianOf(plain.index), medianOf(plain.run)))
+	if query {
+		return rep, setLatency(rep, plain.queryLat, 0.99)
+	}
+	// A second of ingest holds thousands of reports, enough for a p99 of
+	// its own; the median over seconds keeps a few seconds of a host's
+	// stalls from setting the run's tail.
+	tail, windows, err := windowQuantile(plain.reportLat, plain.reportCuts, ingestTailRounds, 0.99)
+	if err != nil {
+		return nil, err
+	}
+	p50, err := median(plain.reportLat) // sorts the samples, so after the windows
+	if err != nil {
+		return nil, err
+	}
+	rep.setQuantile("p50_ms", p50)
+	rep.setNote("tail_ms", "ms", tail.Value, fmt.Sprintf("median over %d windows of %v of each window's p99; %d samples, max %.4f",
+		windows, time.Duration(ingestTailRounds)*servingRound, tail.N, tail.Max))
+	return rep, nil
 }
 
-// setLatency reports p50_ms and tail_ms (p99, or the highest percentile
-// with minBeyond samples beyond it) of samples.
-func setLatency(rep *report, samples []float64) error {
+// ingestTailRounds is how many rounds make one window of ingest's tail_ms.
+const ingestTailRounds = 4
+
+// setLatency reports p50_ms and tail_ms, the tail-quantile of samples.
+func setLatency(rep *report, samples []float64, tailQ float64) error {
 	p50, err := median(samples)
 	if err != nil {
 		return err
 	}
-	tail, err := tailQuantile(samples)
+	tail, err := quantile(samples, tailQ)
 	if err != nil {
 		return err
 	}
@@ -124,40 +140,27 @@ func setLatency(rep *report, samples []float64) error {
 	return nil
 }
 
-// optimizeSetups is how many times the optimize run builds its jobs;
-// setup_s is the median.
-const optimizeSetups = 5
-
-// minPairs is the fewest repetitions of the job pair an optimize run makes.
-// The jobs are the same arithmetic every time, so run-to-run differences are
-// the machine's, and they only ever add time: the run reports its fastest
-// repetition.
-const minPairs = 2
+// optimizeSetups is how many times the optimize run builds its jobs, each
+// from a collected heap; setup_s is the median.
+const optimizeSetups = 9
 
 // pairRun is one repetition of the optimize workload's two jobs.
 type pairRun struct {
 	results []optResult
-	wall    time.Duration
+	wall    time.Duration // raw, checks and calibrations included
 }
 
-func (p pairRun) iterations() int {
-	n := 0
-	for _, r := range p.results {
-		n += r.res.Iterations
-	}
-	return n
-}
-
-// runPairs repeats the job pair until seconds have passed and at least
-// minPairs ran. Each repetition starts from a collected heap, so the peak
-// resident set does not depend on how many ran.
-func runPairs(ctx context.Context, jobs []optJob, seconds float64) ([]pairRun, error) {
+// runPairs repeats the job pair, each time from a collected heap so the
+// peak resident set does not depend on how many ran, while another
+// repetition as long as the last still ends within seconds; at least one
+// runs. Every optimizer timing is in reference time on clock.
+func runPairs(ctx context.Context, jobs []optJob, seconds float64, clock *refClock) ([]pairRun, error) {
 	var out []pairRun
 	deadline := time.Now().Add(time.Duration(seconds * float64(time.Second)))
-	for len(out) < minPairs || time.Now().Before(deadline) {
+	for len(out) == 0 || time.Now().Add(out[len(out)-1].wall).Before(deadline) {
 		runtime.GC()
 		t0 := time.Now()
-		rs, err := runOptimizeJobs(ctx, jobs)
+		rs, err := runOptimizeJobs(ctx, jobs, clock)
 		if err != nil {
 			return nil, err
 		}
@@ -166,30 +169,42 @@ func runPairs(ctx context.Context, jobs []optJob, seconds float64) ([]pairRun, e
 	return out, nil
 }
 
-func fastest(pairs []pairRun) pairRun {
-	best := pairs[0]
-	for _, p := range pairs[1:] {
-		if p.wall < best.wall {
-			best = p
+// pairTotals sums, over every job of every repetition, the iterations run
+// and the optimizer's time in reference time.
+func pairTotals(pairs []pairRun) (iters int, work time.Duration) {
+	for _, p := range pairs {
+		for _, r := range p.results {
+			iters += r.res.Iterations
+			work += r.trace.work
 		}
 	}
-	return best
+	return iters, work
 }
 
+// optimizeTail is the percentile tail_ms reports on optimize: one
+// repetition yields about 500 AllRange n=128 iterations, too few for a p99
+// with minBeyond samples beyond it.
+const optimizeTail = 0.90
+
 // runOptimize runs the two optimize jobs back to back, repeating the pair
-// (see runPairs), and reports the fastest repetition.
+// (see runPairs), and reports over every repetition in reference time.
 func runOptimize(ctx context.Context, o options) (*report, error) {
+	meter := newInlineMeter(optimizeRound)
 	var jobs []optJob
 	var setups []float64
 	for i := 0; i < optimizeSetups; i++ {
-		t0 := time.Now()
-		var err error
-		if jobs, err = setupOptimize(); err != nil {
+		runtime.GC()
+		d, err := timedRef(meter, func() (err error) {
+			jobs, err = setupOptimize()
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
-		setups = append(setups, time.Since(t0).Seconds())
+		setups = append(setups, d.Seconds())
 	}
-	plain, err := runPairs(ctx, jobs, o.seconds)
+	clock := newRefClock(meter)
+	plain, err := runPairs(ctx, jobs, o.seconds, clock)
 	if err != nil {
 		return nil, err
 	}
@@ -197,28 +212,43 @@ func runOptimize(ctx context.Context, o options) (*report, error) {
 	rep.Attempted = int64(len(plain) * len(jobs))
 	if o.trace {
 		mem := readMem()
-		traced, err := runPairs(ctx, jobs, o.seconds)
+		tclock := newRefClock(meter)
+		traced, err := runPairs(ctx, jobs, o.seconds, tclock)
 		if err != nil {
 			return nil, err
 		}
 		rep.Attempted += int64(len(traced) * len(jobs))
-		return rep, optimizeLayerReport(rep, traced, fastest(traced).wall, fastest(plain).wall, memSince(mem))
+		return rep, optimizeLayerReport(rep, plain, traced, memSince(mem), tclock)
 	}
-	best := fastest(plain)
 	var gaps []float64
-	for _, r := range best.results {
-		if r.job.tag == "n128" {
-			gaps = append(gaps, r.trace.gaps()...)
+	for _, p := range plain {
+		for _, r := range p.results {
+			if r.job.tag == "n128" {
+				gaps = append(gaps, r.trace.gaps...)
+			}
 		}
 	}
+	iters, work := pairTotals(plain)
 	rep.setNote("setup_s", "s", medianOf(setups), fmt.Sprintf("median of %d set-ups", len(setups)))
-	rep.setNote("throughput_per_s", "1/s", float64(best.iterations())/best.wall.Seconds(),
-		fmt.Sprintf("optimizer iterations; fastest of %d repetitions, %.3f s", len(plain), best.wall.Seconds()))
-	rep.setNote("strategy_gap", "ratio", strategyGap(best.results), "geometric mean over Prefix n=64, AllRange n=128")
-	if err := setLatency(rep, gaps); err != nil {
+	rep.setNote("throughput_per_s", "1/s", float64(iters)/work.Seconds(),
+		fmt.Sprintf("optimizer iterations over %d repetitions; %.3f/s raw, median speed index %.3f, run share %.3f",
+			len(plain), float64(iters)/rawWork(plain).Seconds(), medianOf(clock.index), medianOf(clock.run)))
+	rep.setNote("strategy_gap", "ratio", strategyGap(plain[0].results), "geometric mean over Prefix n=64, AllRange n=128")
+	if err := setLatency(rep, gaps, optimizeTail); err != nil {
 		return nil, err
 	}
 	rep.notes["p50_ms"] += ", AllRange n=128 iteration time"
 	rep.notes["tail_ms"] += ", AllRange n=128 iteration time"
 	return rep, nil
+}
+
+// rawWork is the optimizer's raw time over every job of every repetition.
+func rawWork(pairs []pairRun) time.Duration {
+	var d time.Duration
+	for _, p := range pairs {
+		for _, r := range p.results {
+			d += r.trace.raw
+		}
+	}
+	return d
 }
