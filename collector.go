@@ -32,7 +32,6 @@ import (
 // period, however often it is polled; see BenchmarkSnapshotCached.
 type Collector struct {
 	agg    Aggregator
-	est    *Estimator
 	info   MechanismInfo
 	shards []collectorShard
 	mask   uint64
@@ -60,7 +59,6 @@ type Collector struct {
 	// a metrics lock.
 	stats struct {
 		ingestBatches  atomic.Int64
-		ingestReports  atomic.Int64
 		snapshotHits   atomic.Int64
 		snapshotMerges atomic.Int64
 	}
@@ -100,7 +98,7 @@ func NewCollector(agg Aggregator, w Workload, shards int, opts ...CollectorOptio
 	for n < shards {
 		n <<= 1
 	}
-	c := &Collector{agg: agg, est: est, info: est.Info(), shards: make([]collectorShard, n), mask: uint64(n - 1)}
+	c := &Collector{agg: agg, info: est.Info(), shards: make([]collectorShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
 		c.shards[i].acc = make([]float64, agg.StateLen())
 	}
@@ -114,18 +112,6 @@ func NewCollector(agg Aggregator, w Workload, shards int, opts ...CollectorOptio
 		}
 	}
 	return c, nil
-}
-
-// NewStrategyCollector is NewAggregator + NewCollector in one step.
-//
-// Deprecated: kept for pre-streaming-API callers; new code should build the
-// Aggregator explicitly so it can be shared with a Server or the simulator.
-func NewStrategyCollector(s *Strategy, w Workload, shards int) (*Collector, error) {
-	agg, err := NewAggregator(s)
-	if err != nil {
-		return nil, err
-	}
-	return NewCollector(agg, w, shards)
 }
 
 // Shards returns the number of shards the accumulator is split across.
@@ -160,11 +146,7 @@ func (c *Collector) ingestInto(sh *collectorShard, r Report) error {
 		if err := c.agg.Check(r); err != nil {
 			return fmt.Errorf("ldp: %w", err)
 		}
-		if err := c.durableAbsorb(sh, []Report{r}, ""); err != nil {
-			return err
-		}
-		c.stats.ingestReports.Add(1)
-		return nil
+		return c.durableAbsorb(sh, []Report{r}, "")
 	}
 	sh.mu.Lock()
 	err := c.agg.Absorb(sh.acc, r)
@@ -175,7 +157,6 @@ func (c *Collector) ingestInto(sh *collectorShard, r Report) error {
 	if err != nil {
 		return fmt.Errorf("ldp: %w", err)
 	}
-	c.stats.ingestReports.Add(1)
 	return nil
 }
 
@@ -195,7 +176,6 @@ func (c *Collector) ingestBatchInto(sh *collectorShard, reports []Report, key st
 		sh.mu.Unlock()
 	}
 	c.stats.ingestBatches.Add(1)
-	c.stats.ingestReports.Add(int64(len(reports)))
 	return nil
 }
 
@@ -219,25 +199,6 @@ func (c *Collector) absorbValidatedLocked(sh *collectorShard, reports []Report) 
 	// One atomic add for the whole batch: the counter is the publication
 	// point, so readers see the batch all at once.
 	sh.count.Add(int64(len(reports)))
-}
-
-// Add records one bare output index.
-//
-// Deprecated: index-carrying mechanisms only; use Ingest.
-func (c *Collector) Add(response int) error {
-	return c.Ingest(Report{Index: response})
-}
-
-// AddBatch records a batch of bare output indices with the same
-// all-or-nothing validation as IngestBatch.
-//
-// Deprecated: index-carrying mechanisms only; use IngestBatch.
-func (c *Collector) AddBatch(responses []int) error {
-	reports := make([]Report, len(responses))
-	for i, r := range responses {
-		reports[i] = Report{Index: r}
-	}
-	return c.IngestBatch(reports)
 }
 
 // Handle is an ingestion endpoint pinned to one shard: its hot path takes an
@@ -279,15 +240,21 @@ func (c *Collector) totalCount() int64 {
 }
 
 // enableMetrics registers the collector's families on reg, all read at
-// scrape time from the collector's own atomics — the ingest path pays
-// nothing it wasn't already paying.
+// scrape time. Ingest pays one atomic add per batch; the report tally is
+// derived from the per-shard counts, less what recovery restored.
 func (c *Collector) enableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("ldp_collector_ingest_batches_total",
 		"Report batches absorbed since startup.",
 		func() float64 { return float64(c.stats.ingestBatches.Load()) })
 	reg.CounterFunc("ldp_collector_ingest_reports_total",
 		"Individual reports absorbed since startup (batched and unary).",
-		func() float64 { return float64(c.stats.ingestReports.Load()) })
+		func() float64 {
+			n := c.totalCount()
+			if c.dur != nil {
+				n -= c.dur.recoveredReports
+			}
+			return float64(n)
+		})
 	reg.CounterFunc("ldp_collector_snapshot_cache_hits_total",
 		"Snapshots served from the cached merge without touching a shard lock.",
 		func() float64 { return float64(c.stats.snapshotHits.Load()) })
@@ -300,25 +267,6 @@ func (c *Collector) enableMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("ldp_collector_epoch",
 		"Current snapshot epoch — advances exactly when the merged state changes.",
 		func() float64 { _, epoch := c.countEpoch(); return float64(epoch) })
-}
-
-// snapshot returns a caller-owned copy of the merged accumulator, the report
-// count it reflects, and the snapshot epoch — a linearizable point-in-time
-// view: no concurrent Ingest is half-visible.
-//
-// The merge is cached: if no shard counter has moved since the cache was
-// filled, no ingest completed in between and the cached merge is returned
-// (copied) without touching any shard lock. Otherwise every shard is locked
-// (ascending order, so concurrent snapshots cannot deadlock), re-merged, the
-// cache refilled, and the epoch advanced — so the epoch counts distinct
-// observed states.
-func (c *Collector) snapshot() (acc []float64, count float64, epoch uint64) {
-	c.cache.mu.Lock()
-	defer c.cache.mu.Unlock()
-	c.refreshCacheLocked()
-	acc = make([]float64, len(c.cache.acc))
-	copy(acc, c.cache.acc)
-	return acc, float64(c.cache.count), c.cache.epoch
 }
 
 // countEpoch returns a consistent (count, epoch) pair — what /healthz
@@ -374,22 +322,23 @@ func (c *Collector) refreshCacheLocked() {
 
 // Snap returns an immutable point-in-time Snapshot of the collector: merged
 // accumulator, report count, mechanism identity, and the monotonic snapshot
-// epoch. It is the one read handle every estimator consumes — and the value
-// a transport binding serves to remote readers and ldpfed merges across
-// shards.
-func (c *Collector) Snap() Snapshot {
-	acc, count, epoch := c.snapshot()
-	return Snapshot{state: acc, count: count, epoch: epoch, info: c.info}
-}
-
-// Snapshot returns the merged aggregation accumulator and the number of
-// reports it contains as one consistent view. The slice is caller-owned.
+// epoch — a linearizable view: no concurrent Ingest is half-visible. It is
+// the one read handle every estimator consumes — and the value a transport
+// binding serves to remote readers and ldpfed merges across shards.
 //
-// Deprecated: use Snap, which carries the mechanism identity and epoch the
-// bare pair lacks.
-func (c *Collector) Snapshot() (state []float64, count float64) {
-	state, count, _ = c.snapshot()
-	return state, count
+// The merge is cached: if no shard counter has moved since the cache was
+// filled, no ingest completed in between and the cached merge is returned
+// (copied) without touching any shard lock. Otherwise every shard is locked
+// (ascending order, so concurrent snapshots cannot deadlock), re-merged, the
+// cache refilled, and the epoch advanced — so the epoch counts distinct
+// observed states.
+func (c *Collector) Snap() Snapshot {
+	c.cache.mu.Lock()
+	defer c.cache.mu.Unlock()
+	c.refreshCacheLocked()
+	acc := make([]float64, len(c.cache.acc))
+	copy(acc, c.cache.acc)
+	return Snapshot{state: acc, count: float64(c.cache.count), epoch: c.cache.epoch, info: c.info}
 }
 
 // Count returns the number of reports collected so far. It only sums the
@@ -397,46 +346,4 @@ func (c *Collector) Snapshot() (state []float64, count float64) {
 // paid, so Count can be polled at any rate.
 func (c *Collector) Count() float64 {
 	return float64(c.totalCount())
-}
-
-// State returns the merged aggregation accumulator (for strategy mechanisms,
-// the response histogram y) from a consistent snapshot.
-//
-// Deprecated: use Snap().State().
-func (c *Collector) State() []float64 {
-	acc, _, _ := c.snapshot()
-	return acc
-}
-
-// DataEstimate returns the unbiased estimate of the data vector from a
-// consistent snapshot.
-//
-// Deprecated: use an Estimator — NewEstimator(agg, w) then
-// est.DataEstimate(c.Snap()) — which answers local, remote, and merged
-// snapshots alike.
-func (c *Collector) DataEstimate() []float64 {
-	xh, err := c.est.DataEstimate(c.Snap())
-	if err != nil {
-		panic(err) // unreachable: the snapshot comes from this very mechanism
-	}
-	return xh
-}
-
-// Answers returns unbiased workload estimates from a consistent snapshot.
-//
-// Deprecated: use an Estimator — est.Answers(c.Snap()).
-func (c *Collector) Answers() []float64 {
-	answers, err := c.est.Answers(c.Snap())
-	if err != nil {
-		panic(err) // unreachable: the snapshot comes from this very mechanism
-	}
-	return answers
-}
-
-// ConsistentAnswers returns WNNLS-post-processed estimates from a consistent
-// snapshot.
-//
-// Deprecated: use an Estimator — est.ConsistentAnswers(c.Snap()).
-func (c *Collector) ConsistentAnswers() ([]float64, error) {
-	return c.est.ConsistentAnswers(c.Snap())
 }

@@ -396,7 +396,7 @@ func (c *Collector) armDurabilityMetrics(reg *obs.Registry) {
 
 // recoveredIdempotencyKeys returns the idempotency keys the WAL proved
 // absorbed before the last restart, oldest first, with the report counts
-// absorbed under them — what NewCollectorServer seeds the transport's
+// absorbed under them — what NewCollectorService seeds the transport's
 // idempotency cache with.
 func (c *Collector) recoveredIdempotencyKeys() []transport.SeededKey {
 	if c.dur == nil {

@@ -243,17 +243,18 @@ func TestDurableRestartReplaysIdempotencyKey(t *testing.T) {
 	m := e2eMechanisms(t, n)["OUE"]
 	reports := randomBatches(t, m.rz, n, []int{10}, 13)[0]
 	dir := t.TempDir()
-	info := ldp.ServerInfo{Mechanism: "OUE", Domain: n, Epsilon: 1}
+	info := ldp.MechanismInfo{Mechanism: "OUE", Domain: n, Epsilon: 1}
 	ctx := context.Background()
 
 	col1, err := ldp.NewCollector(m.agg, w, 0, ldp.WithDurability(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := ldp.NewCollectorServer(col1, info)
+	svc, err := ldp.NewCollectorService(col1, info)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h1 := svc.Handler()
 	hs1 := httptest.NewServer(h1)
 	tc1, err := transport.NewClient(hs1.URL, hs1.Client())
 	if err != nil {
@@ -276,10 +277,11 @@ func TestDurableRestartReplaysIdempotencyKey(t *testing.T) {
 	if got := col2.Count(); got != float64(len(reports)) {
 		t.Fatalf("recovered count %v, want %d", got, len(reports))
 	}
-	h2, err := ldp.NewCollectorServer(col2, info)
+	svc2, err := ldp.NewCollectorService(col2, info)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h2 := svc2.Handler()
 	hs2 := httptest.NewServer(h2)
 	defer hs2.Close()
 	tc2, err := transport.NewClient(hs2.URL, hs2.Client())
@@ -352,10 +354,11 @@ func TestDurableRestartSeedsKeysAcrossCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col2.Close()
-	h2, err := ldp.NewCollectorServer(col2, ldp.ServerInfo{Domain: n})
+	svc, err := ldp.NewCollectorService(col2, ldp.MechanismInfo{Domain: n})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h2 := svc.Handler()
 	hs := httptest.NewServer(h2)
 	defer hs.Close()
 	tc, err := transport.NewClient(hs.URL, hs.Client())

@@ -90,7 +90,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server, err := ldp.NewServer(agg, w)
+	col, err := ldp.NewCollector(agg, w, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	estimator, err := ldp.NewEstimator(agg, w)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,12 +104,12 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := server.Ingest(rep); err != nil {
+			if err := col.Ingest(rep); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
-	est, err := server.ConsistentAnswers()
+	est, err := estimator.ConsistentAnswers(col.Snap())
 	if err != nil {
 		log.Fatal(err)
 	}

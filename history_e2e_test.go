@@ -345,12 +345,13 @@ func TestRemoteSnapAtEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	col := historyCollector(t, dir, m.agg, w)
 	defer col.Close()
-	handler, err := ldp.NewCollectorServer(col, ldp.ServerInfo{
+	svc, err := ldp.NewCollectorService(col, ldp.MechanismInfo{
 		Mechanism: "strategy", Domain: m.agg.Domain(), Epsilon: m.rz.Epsilon(), Digest: m.digest,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	handler := svc.Handler()
 	hs := httptest.NewServer(handler)
 	defer hs.Close()
 	rc, err := ldp.NewRemoteCollector(hs.URL, m.agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
@@ -573,10 +574,11 @@ func TestFleetSnapAtHistoricalMerge(t *testing.T) {
 	for i := range shards {
 		col := historyCollector(t, t.TempDir(), m.agg, w)
 		t.Cleanup(func() { col.Close() })
-		handler, err := ldp.NewCollectorServer(col, ldp.MechanismInfoOf(m.agg))
+		svc, err := ldp.NewCollectorService(col, ldp.MechanismInfoOf(m.agg))
 		if err != nil {
 			t.Fatal(err)
 		}
+		handler := svc.Handler()
 		hs := httptest.NewServer(handler)
 		t.Cleanup(hs.Close)
 		sh := &durShard{col: col, hs: hs}
@@ -598,10 +600,11 @@ func TestFleetSnapAtHistoricalMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memHandler, err := ldp.NewCollectorServer(memless, ldp.MechanismInfoOf(m.agg))
+	svc, err := ldp.NewCollectorService(memless, ldp.MechanismInfoOf(m.agg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	memHandler := svc.Handler()
 	memHS := httptest.NewServer(memHandler)
 	defer memHS.Close()
 	ingest(memless, perRound/2)

@@ -167,7 +167,7 @@ func CollectorIngest(goroutines, shards int) func(b *testing.B) {
 
 // SnapshotCached benchmarks the collector's read path at n=256 with 32
 // shards. cached=true polls a quiescent collector — after the first merge
-// every State() is served from the snapshot cache (one copy, no shard
+// every Snap() is served from the snapshot cache (one copy, no shard
 // locks). cached=false ingests one report before each read, forcing the
 // pre-cache behavior: a full lock-all remerge of every shard per read. The
 // gap between the two is what snapshot caching buys a server whose /snapshot
@@ -198,7 +198,7 @@ func SnapshotCached(cached bool) func(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if st := col.State(); len(st) != n {
+			if col.Snap().StateLen() != n {
 				b.Fatal("bad snapshot")
 			}
 		}

@@ -33,6 +33,25 @@ func TestZipfTableDeterministicAndNormalized(t *testing.T) {
 	}
 }
 
+// A percentile never exceeds the observed max: one 33 ms sample lands in the
+// 32.768–65.536 ms bucket, yet its p99 is the sample itself.
+func TestLatencyQuantileClampedToMax(t *testing.T) {
+	var h latencyHist
+	h.observe(33 * time.Millisecond)
+	for _, q := range []float64{0.5, 0.99, 1} {
+		if got := h.quantile(q); got > 33.0 {
+			t.Fatalf("quantile(%v) = %v ms, above the 33 ms max", q, got)
+		}
+	}
+	// Below the max the bucket bound still stands.
+	for i := 0; i < 99; i++ {
+		h.observe(3 * time.Millisecond)
+	}
+	if got := h.quantile(0.5); got != 4.096 {
+		t.Fatalf("quantile(0.5) = %v ms, want the 4.096 ms bucket bound", got)
+	}
+}
+
 func TestPopulationReproducible(t *testing.T) {
 	scn := SmokeScenario(42)
 	scn.Clients = 20000

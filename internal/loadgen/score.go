@@ -38,21 +38,24 @@ func (h *latencyHist) observe(d time.Duration) {
 	}
 }
 
-// quantile returns the q-quantile in milliseconds (bucket upper bound).
+// quantile returns the q-quantile in milliseconds: the upper bound of the
+// bucket holding it, clamped to the largest observed sample — a bucket bound
+// past the max would report a latency no request ever had.
 func (h *latencyHist) quantile(q float64) float64 {
 	total := h.total.Load()
 	if total == 0 {
 		return 0
 	}
+	maxMs := float64(h.maxNs.Load()) / 1e6
 	target := int64(math.Ceil(q * float64(total)))
 	var seen int64
 	for b := 0; b < latencyBuckets; b++ {
 		seen += h.counts[b].Load()
 		if seen >= target {
-			return float64(uint64(1)<<uint(b)) / 1000.0 // bucket bound in ms
+			return math.Min(float64(uint64(1)<<uint(b))/1000.0, maxMs)
 		}
 	}
-	return float64(h.maxNs.Load()) / 1e6
+	return maxMs
 }
 
 // Counts is the deterministic accounting of a run: at a fixed seed these

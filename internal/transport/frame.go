@@ -697,19 +697,6 @@ func DecodeSnapshotFrame(r io.Reader) (Snapshot, error) {
 	return s, nil
 }
 
-// DecodeSnapshot reads one snapshot frame of either version and returns the
-// bare accumulator view.
-//
-// Deprecated: use DecodeSnapshotFrame, which also surfaces the snapshot's
-// epoch and mechanism identity.
-func DecodeSnapshot(r io.Reader) (state []float64, count float64, err error) {
-	s, err := DecodeSnapshotFrame(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s.State, s.Count, nil
-}
-
 // encodeReportsBytes is EncodeReports into memory (the client's request-body
 // builder and tests share it).
 func encodeReportsBytes(reports []protocol.Report) ([]byte, error) {

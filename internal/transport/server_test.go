@@ -94,12 +94,12 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("accepted %d, want %d", accepted, len(batch))
 	}
 
-	state, count, err := c.Snapshot(ctx)
+	snap, err := c.Snap(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 3 || !reflect.DeepEqual(state, []float64{0, 2, 0, 0, 0, 1, 0, 0}) {
-		t.Fatalf("snapshot: count %v, state %v", count, state)
+	if snap.Count != 3 || !reflect.DeepEqual(snap.State, []float64{0, 2, 0, 0, 0, 1, 0, 0}) {
+		t.Fatalf("snapshot: count %v, state %v", snap.Count, snap.State)
 	}
 }
 

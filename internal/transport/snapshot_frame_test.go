@@ -62,15 +62,6 @@ func TestSnapshotFrameV1StillDecodes(t *testing.T) {
 	if got.Count != 12 || got.Epoch != 0 || got.Info != (Info{}) || !reflect.DeepEqual(got.State, state) {
 		t.Fatalf("v1 decode: %+v", got)
 	}
-	// The deprecated pair-returning reader sees the same view.
-	buf.Reset()
-	if err := EncodeSnapshot(&buf, state, 12); err != nil {
-		t.Fatal(err)
-	}
-	st, count, err := DecodeSnapshot(&buf)
-	if err != nil || count != 12 || !reflect.DeepEqual(st, state) {
-		t.Fatalf("DecodeSnapshot on v1: %v %v %v", st, count, err)
-	}
 }
 
 // goldenFrame regenerates testdata/<name> from got when UPDATE_GOLDEN=1 and

@@ -106,14 +106,6 @@ func TestOptimizeCancellation(t *testing.T) {
 	if _, err := ldp.Optimize(done, w, 1.0, ldp.WithIterations(100)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled context: err = %v", err)
 	}
-
-	// The deprecated wrappers must honor a context carried in through the
-	// legacy OptimizeOptions.Ctx field.
-	legacy, cancel3 := context.WithCancel(context.Background())
-	cancel3()
-	if _, err := ldp.OptimizeBest(w, 1.0, &ldp.OptimizeOptions{Iters: 50, Ctx: legacy}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("legacy Ctx ignored by wrapper: err = %v", err)
-	}
 }
 
 // TestOptimizeProgress verifies the observer sees the monotone iteration
@@ -234,13 +226,20 @@ func TestClientServerProtocol(t *testing.T) {
 	if server.Count() != 3000 {
 		t.Fatalf("count = %v", server.Count())
 	}
-	answers := server.Answers()
+	est, err := ldp.NewEstimator(agg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := est.Answers(server.Snap())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range truth {
 		if math.Abs(answers[i]-truth[i]) > 0.25*3000 {
 			t.Fatalf("answer[%d] = %v, truth %v — far beyond plausible noise", i, answers[i], truth[i])
 		}
 	}
-	consistent, err := server.ConsistentAnswers()
+	consistent, err := est.ConsistentAnswers(server.Snap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +258,11 @@ func TestClientServerProtocol(t *testing.T) {
 	}
 }
 
-// TestDeprecatedStrategyWrappers keeps the pre-streaming entry points
-// working: NewStrategyClient/Respond and NewStrategyServer/Add must behave
-// like the explicit pipeline.
-func TestDeprecatedStrategyWrappers(t *testing.T) {
+// TestStrategyCollectorRoundTrip drives an optimized strategy through the
+// Randomizer → Collector path: every randomized report is accepted, the count
+// matches, an out-of-range output index is refused, and the accumulator is one
+// histogram cell per strategy output.
+func TestStrategyCollectorRoundTrip(t *testing.T) {
 	n := 4
 	w := ldp.Histogram(n)
 	mech, err := ldp.Optimize(context.Background(), w, 2.0,
@@ -270,28 +270,39 @@ func TestDeprecatedStrategyWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := ldp.NewStrategyClient(mech.Strategy())
+	rz, err := ldp.NewRandomizer(mech.Strategy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := ldp.NewStrategyServer(mech.Strategy(), w)
+	agg, err := ldp.NewAggregator(mech.Strategy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := ldp.NewCollector(agg, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
-		if err := server.Add(client.Respond(i%n, rng)); err != nil {
+		rep, err := rz.Randomize(i%n, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.Ingest(rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if server.Count() != 100 {
-		t.Fatalf("count = %v", server.Count())
+	if col.Count() != 100 {
+		t.Fatalf("count = %v", col.Count())
 	}
-	if err := server.Add(99999); err == nil {
+	if err := col.Ingest(ldp.Report{Index: 99999}); err == nil {
 		t.Fatal("expected range error")
 	}
-	if got := len(server.ResponseVector()); got != mech.Strategy().Outputs() {
-		t.Fatalf("response vector length %d", got)
+	if col.Count() != 100 {
+		t.Fatalf("rejected report changed the count to %v", col.Count())
+	}
+	if got := col.Snap().StateLen(); got != mech.Strategy().Outputs() {
+		t.Fatalf("state length %d, want %d outputs", got, mech.Strategy().Outputs())
 	}
 }
 

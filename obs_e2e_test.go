@@ -147,6 +147,61 @@ func TestCollectorServiceMetrics(t *testing.T) {
 	}
 }
 
+// ldp_collector_ingest_reports_total counts what this process absorbed: a
+// durable collector restarted on the same directory reports recovered state
+// in ldp_collector_reports but starts its ingest tally from zero.
+func TestCollectorIngestReportsExcludeRecovered(t *testing.T) {
+	const domain, before, after = 16, 30, 7
+	w := ldp.Histogram(domain)
+	agg, err := ldp.NewAggregator(benchfix.RRStrategy(domain, 1.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	serve := func(k int) []obs.Sample {
+		t.Helper()
+		col, err := ldp.NewCollector(agg, w, 0, ldp.WithDurability(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer col.Close()
+		svc, err := ldp.NewCollectorService(col, ldp.MechanismInfoOf(agg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(svc.Handler())
+		defer hs.Close()
+		reports := make([]ldp.Report, k)
+		for i := range reports {
+			reports[i] = ldp.Report{Index: i % domain}
+		}
+		if err := col.IngestBatch(reports[:k/2]); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reports[k/2:] {
+			if err := col.Ingest(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, samples := scrape(t, hs.URL)
+		return samples
+	}
+	check := func(samples []obs.Sample, name string, want float64) {
+		t.Helper()
+		if got, ok := obs.SampleValue(samples, name, ""); !ok || got != want {
+			t.Errorf("%s = %v (found=%v), want %v", name, got, ok, want)
+		}
+	}
+
+	first := serve(before)
+	check(first, "ldp_collector_ingest_reports_total", before)
+	check(first, "ldp_collector_reports", before)
+
+	restarted := serve(after)
+	check(restarted, "ldp_collector_ingest_reports_total", after)
+	check(restarted, "ldp_collector_reports", before+after)
+}
+
 // The router's /metrics mirrors the same guarantees for the fan-in tier:
 // lint-clean golden catalog, fleet membership gauges, and merge/forward
 // counters that move with routed traffic.

@@ -49,16 +49,17 @@ func e2eMechanisms(t *testing.T, n int) map[string]e2eMechanism {
 
 // startCollectorServer serves a fresh sharded collector for agg over a
 // loopback HTTP listener — an in-test cmd/ldpserve.
-func startCollectorServer(t *testing.T, agg ldp.Aggregator, w ldp.Workload, info ldp.ServerInfo) *httptest.Server {
+func startCollectorServer(t *testing.T, agg ldp.Aggregator, w ldp.Workload, info ldp.MechanismInfo) *httptest.Server {
 	t.Helper()
 	col, err := ldp.NewCollector(agg, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, err := ldp.NewCollectorServer(col, info)
+	svc, err := ldp.NewCollectorService(col, info)
 	if err != nil {
 		t.Fatal(err)
 	}
+	handler := svc.Handler()
 	hs := httptest.NewServer(handler)
 	t.Cleanup(hs.Close)
 	return hs
@@ -110,7 +111,7 @@ func TestRemotePipelineMatchesLocal(t *testing.T) {
 
 			// Remote pipeline: loopback ldpserve + RemoteCollector, with a
 			// batch size that forces several frames.
-			hs := startCollectorServer(t, m.agg, w, ldp.ServerInfo{
+			hs := startCollectorServer(t, m.agg, w, ldp.MechanismInfo{
 				Mechanism: name, Domain: m.agg.Domain(), Epsilon: m.rz.Epsilon(),
 				Digest: m.digest,
 			})
@@ -137,21 +138,32 @@ func TestRemotePipelineMatchesLocal(t *testing.T) {
 			if count != float64(len(reports)) {
 				t.Fatalf("remote count %v, want %d", count, len(reports))
 			}
-			remoteUnbiased, err := rcol.Answers(ctx)
+			est, err := ldp.NewEstimator(m.agg, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			localUnbiased := local.Answers()
+			remoteSnap, err := rcol.Snap(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remoteUnbiased, err := est.Answers(remoteSnap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			localUnbiased, err := est.Answers(local.Snap())
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range localUnbiased {
 				if remoteUnbiased[i] != localUnbiased[i] {
 					t.Fatalf("unbiased[%d]: remote %v != local %v", i, remoteUnbiased[i], localUnbiased[i])
 				}
 			}
-			remoteCons, err := rcol.ConsistentAnswers(ctx)
+			remoteCons, err := est.ConsistentAnswers(remoteSnap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			localCons, err := local.ConsistentAnswers()
+			localCons, err := est.ConsistentAnswers(local.Snap())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +198,7 @@ func TestVerifyRejectsStrategyDigestMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := startCollectorServer(t, agg, w, ldp.ServerInfo{
+	hs := startCollectorServer(t, agg, w, ldp.MechanismInfo{
 		Mechanism: "strategy", Domain: n, Epsilon: 1, Digest: ldp.StrategyDigest(served),
 	})
 	rcol, err := ldp.NewRemoteCollector(hs.URL, agg, w, ldp.WithRemoteHTTPClient(hs.Client()))
@@ -218,10 +230,11 @@ func TestRemoteCollectorRetainsReportsOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := ldp.NewCollectorServer(col, ldp.ServerInfo{Domain: n})
+	svc, err := ldp.NewCollectorService(col, ldp.MechanismInfo{Domain: n})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inner := svc.Handler()
 	// Fail every other POST /reports before it reaches the collector. The
 	// toggle is atomic: handlers usually serialize on one keep-alive
 	// connection, but a reconnect mid-test would run them concurrently.
@@ -255,15 +268,15 @@ func TestRemoteCollectorRetainsReportsOnFailure(t *testing.T) {
 			break
 		}
 	}
-	state, count, err := rcol.Snapshot(ctx)
+	snap, err := rcol.Snap(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != total {
-		t.Fatalf("server holds %v reports after retries, want exactly %d", count, total)
+	if snap.Count() != total {
+		t.Fatalf("server holds %v reports after retries, want exactly %d", snap.Count(), total)
 	}
 	var mass float64
-	for _, v := range state {
+	for _, v := range snap.State() {
 		mass += v
 	}
 	if mass != total {
@@ -305,7 +318,7 @@ func TestTransportConcurrentClients(t *testing.T) {
 		}
 	}
 
-	hs := startCollectorServer(t, agg, w, ldp.ServerInfo{Mechanism: "strategy", Domain: n, Epsilon: 1})
+	hs := startCollectorServer(t, agg, w, ldp.MechanismInfo{Mechanism: "strategy", Domain: n, Epsilon: 1})
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
@@ -330,7 +343,7 @@ func TestTransportConcurrentClients(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, _, err := rcol.Snapshot(ctx); err != nil {
+				if _, err := rcol.Snap(ctx); err != nil {
 					errs <- err
 					return
 				}
@@ -360,14 +373,14 @@ func TestTransportConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, count, err := rcol.Snapshot(context.Background())
+	snap, err := rcol.Snap(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != clients*perClient {
-		t.Fatalf("snapshot count %v, want %d", count, clients*perClient)
+	if snap.Count() != clients*perClient {
+		t.Fatalf("snapshot count %v, want %d", snap.Count(), clients*perClient)
 	}
-	refState := ref.State()
+	state, refState := snap.State(), ref.State()
 	for i := range refState {
 		if state[i] != refState[i] {
 			t.Fatalf("state[%d]: concurrent %v != serial %v", i, state[i], refState[i])
